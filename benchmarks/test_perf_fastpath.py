@@ -1,10 +1,9 @@
 """Fast-path performance gate (wall clock, not a paper figure).
 
 Runs the NAT steady-state scenario (see :mod:`repro.fastpath.bench`)
-three ways — reference path, fast path on the heap scheduler, fast path
-on the timer-wheel scheduler — asserts all three produce bit-identical
-results (events, trace ring, metrics), and records throughput in
-``BENCH_fastpath.json`` at the repository root.
+two ways — reference path and fast path — asserts both produce
+bit-identical results (events, trace ring, metrics), and records
+throughput in ``BENCH_fastpath.json`` at the repository root.
 
 The headline gate: fast-path packets/s must be **>= 10x** the committed
 ``redplane_pipeline`` baseline in ``BENCH_eventloop.json`` (the
@@ -55,16 +54,14 @@ def test_perf_fastpath(run_once):
     def experiment():
         off = _best_of(TRIALS, fastpath=False)
         on_heap = _best_of(TRIALS, fastpath=True)
-        on_wheel = _best_of(TRIALS, fastpath=True, scheduler="wheel")
-        return off, on_heap, on_wheel
+        return off, on_heap
 
-    off, on_heap, on_wheel = run_once(experiment)
+    off, on_heap = run_once(experiment)
 
     # Identity first: throughput of a run that diverged is meaningless.
-    for name, candidate in (("heap", on_heap), ("wheel", on_wheel)):
-        report = identity_report(off, candidate)
-        assert all(report.values()), \
-            f"fastpath({name}) diverged from reference: {report}"
+    report = identity_report(off, on_heap)
+    assert all(report.values()), \
+        f"fastpath diverged from reference: {report}"
 
     baseline = committed_baseline_pps()
     results = {
@@ -73,7 +70,6 @@ def test_perf_fastpath(run_once):
                      ("flows", "packets_per_flow", "seed", "packets")},
         "reference": _public(off),
         "fastpath_heap": _public(on_heap),
-        "fastpath_wheel": _public(on_wheel),
         "speedup_vs_committed": on_heap["packets_per_s"] / baseline,
         "speedup_same_scenario":
             on_heap["packets_per_s"] / off["packets_per_s"],
@@ -92,7 +88,6 @@ def test_perf_fastpath(run_once):
           f"{results['speedup_vs_committed']:.2f}x vs committed "
           f"{baseline:.1f}, {results['speedup_same_scenario']:.2f}x "
           f"same-scenario")
-    print(f"  fast (wheel){on_wheel['packets_per_s']:>10.1f} pkt/s")
     print(f"  flow cache  {cache['hits']} hits / {cache['misses']} misses")
 
     # Sanity: the cache actually carried the steady state.
@@ -108,5 +103,4 @@ def test_perf_fastpath(run_once):
 def _public(run: dict) -> dict:
     """The fields worth committing (digests/metrics stay out of the JSON)."""
     return {k: run[k] for k in
-            ("scheduler", "fastpath", "packets", "events", "wall_s",
-             "packets_per_s")}
+            ("fastpath", "packets", "events", "wall_s", "packets_per_s")}

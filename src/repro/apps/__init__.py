@@ -4,8 +4,6 @@ from repro.apps.counter import AsyncCounterApp, SyncCounterApp
 from repro.apps.epc_sgw import (
     EpcSgwApp,
     GTP_PORT,
-    GTPC_PORT,
-    GTPU_PORT,
     is_signaling,
     make_data_packet,
     make_signaling_packet,
@@ -80,8 +78,6 @@ __all__ = [
     "SyncCounterApp",
     "EpcSgwApp",
     "GTP_PORT",
-    "GTPC_PORT",
-    "GTPU_PORT",
     "is_signaling",
     "make_data_packet",
     "make_signaling_packet",

@@ -24,11 +24,11 @@ from repro.net.packet import FlowKey, Packet, UDPHeader
 from repro.core.app import AppVerdict, InSwitchApp
 from repro.core.flowstate import FlowStateView, StateSpec
 
-#: The (unified) GTP port; see module docstring.
+#: The (unified) GTP port. Real GTP carries data (GTP-U) on 2152 and
+#: signaling (GTP-C) on 2123; here both kinds share one port and are told
+#: apart by the message-kind byte, so a user's signaling and data keep
+#: the same ECMP path (see module docstring).
 GTP_PORT = 2152
-#: Backwards-compatible aliases for the two traffic kinds.
-GTPU_PORT = GTP_PORT
-GTPC_PORT = GTP_PORT
 
 #: Message kinds in the simplified GTP header.
 GTP_KIND_DATA = 0

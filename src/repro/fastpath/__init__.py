@@ -7,8 +7,6 @@ Layers (see docs/PERFORMANCE.md for the full design):
 * :mod:`repro.fastpath.invalidation` — the scoped invalidation bus;
 * :mod:`repro.fastpath.lanes` — compiled link lanes with batched
   same-edge delivery;
-* :mod:`repro.fastpath.wheel` — the calendar-bucket timer wheel behind
-  ``Simulator(scheduler="wheel")``;
 * :mod:`repro.fastpath.runtime` — installation and dispatch.
 
 The contract everywhere is *bit-identical or bust*: with a
@@ -24,12 +22,10 @@ Enable with::
 
 from repro.fastpath.invalidation import FLOW_SCOPES, SCOPES, InvalidationBus
 from repro.fastpath.runtime import FastPath
-from repro.fastpath.wheel import TimerWheel
 
 __all__ = [
     "FLOW_SCOPES",
     "FastPath",
     "InvalidationBus",
     "SCOPES",
-    "TimerWheel",
 ]

@@ -84,7 +84,6 @@ def run_scenario(
     packets_per_flow: int = PACKETS_PER_FLOW,
     seed: int = SEED,
     fastpath: bool = False,
-    scheduler: str = "heap",
 ) -> dict:
     """Run the NAT steady-state scenario once; return measurements.
 
@@ -92,7 +91,7 @@ def run_scenario(
     fingerprints (events, trace digest, filtered metrics), so callers can
     compare a fast-path run against a reference run directly.
     """
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(seed=seed)
     dep = deploy(sim, NatApp)
     install_nat_routes(dep.bed)
     if fastpath:
@@ -123,7 +122,6 @@ def run_scenario(
         "flows": flows,
         "packets_per_flow": packets_per_flow,
         "seed": seed,
-        "scheduler": scheduler,
         "fastpath": fastpath,
         "packets": packets,
         "events": sim.events_executed,
@@ -155,7 +153,6 @@ def run_ab(
     flows: int = FLOWS,
     packets_per_flow: int = PACKETS_PER_FLOW,
     seed: int = SEED,
-    scheduler: str = "heap",
 ) -> dict:
     """Reference run vs fast-path run of the same scenario, plus verdicts.
 
@@ -166,8 +163,8 @@ def run_ab(
     by the irreducible link/event layer (~1.5x) — both are reported so
     neither can masquerade as the other.
     """
-    off = run_scenario(flows, packets_per_flow, seed, False, scheduler)
-    on = run_scenario(flows, packets_per_flow, seed, True, scheduler)
+    off = run_scenario(flows, packets_per_flow, seed, False)
+    on = run_scenario(flows, packets_per_flow, seed, True)
     identity = identity_report(off, on)
     baseline = committed_baseline_pps()
     return {

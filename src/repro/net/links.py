@@ -178,9 +178,7 @@ class Link:
         }
         self._ctr_queue_drops = m.counter("link.queue_drops", link=self.name)
         self._ctr_duplicated = m.counter("link.duplicated", link=self.name)
-        #: ``link.drops{link,reason}`` handles, created lazily per reason
-        #: (the legacy flat ``link.drops.<reason>`` names remain readable
-        #: through ``Simulator.counters`` as compat views).
+        #: ``link.drops{link,reason}`` handles, created lazily per reason.
         self._ctr_drops: Dict[str, object] = {}
         #: Per-direction transmit-queue drain time: packets serialize one
         #: after another, so a burst queues (and TCP sees real bandwidth).

@@ -3,10 +3,12 @@
 The horizontal-scaling subsystem: partition a campaign's flow
 population across N workers according to the committed per-app shard
 plan (``shard_plans/<app>.json``, produced and drift-checked by
-``repro.verify`` pass 5), synchronize them with a conservative
-time-window protocol bounded by the plan's cross-shard min-latency
-lookahead, and deterministically merge the per-shard streams back into
-the exact byte stream the single-process reference produces.
+``repro.verify`` pass 5), run each shard to completion as an
+independent replica that injects only the flows it owns, and
+deterministically merge the per-shard streams back into the exact byte
+stream the single-process reference produces. The plan is what makes
+the shards independent: plans with global residue or an unextractable
+key are pinned to shard 0, so no shard ever needs another's state.
 
 Package map:
 
@@ -16,7 +18,6 @@ module             role
 ``plan``           committed-plan loading, legality, launch-time RS408 gate
 ``assign``         flow -> shard hashing from the plan's partition key
 ``recorder``       per-shard sidecars: origins, uid births, observations
-``window``         conservative window protocol (lookahead law, controller)
 ``frames``         length-prefixed worker protocol frames
 ``scenarios``      shard-disciplined campaign drivers
 ``runner``         reference / inline / process drive modes + identity gate
@@ -45,23 +46,13 @@ from repro.shard.runner import (
     run_reference,
     run_sharded,
 )
-from repro.shard.window import (
-    BoundaryBuffer,
-    BoundaryViolation,
-    WindowController,
-    WindowSchedule,
-)
 
 __all__ = [
-    "BoundaryBuffer",
-    "BoundaryViolation",
     "MergeError",
     "PlanDriftError",
     "PlanError",
     "ShardRecorder",
     "ShardRunConfig",
-    "WindowController",
-    "WindowSchedule",
     "check_conformance",
     "identity_report",
     "load_plan",

@@ -1,8 +1,7 @@
 """Length-prefixed control frames for the shard worker protocol.
 
-Workers and the controller exchange small typed messages (window
-requests and grants, heartbeat deltas, results). Each message is one
-self-delimiting frame::
+Workers and the controller exchange a few small typed messages (hello,
+result, error, bye). Each message is one self-delimiting frame::
 
     !I   frame length (type byte + payload, not counting this prefix)
     !B   frame type (one of the ``F_*`` constants)
@@ -30,16 +29,8 @@ from typing import Any, Dict, Iterator, List, Tuple
 _LEN = struct.Struct("!I")
 _TYPE = struct.Struct("!B")
 
-#: Worker -> controller: identify (shard index, pid, scenario).
+#: Worker -> controller: identify (shard index, scenario).
 F_HELLO = 1
-#: Worker -> controller: request permission to advance to a target time.
-F_WINDOW_REQ = 2
-#: Controller -> worker: grant advancement up to ``upto`` microseconds.
-F_WINDOW_GRANT = 3
-#: Worker -> controller: window finished; carries a heartbeat delta.
-F_WINDOW_DONE = 4
-#: Either direction: a boundary packet crossing shards (plan-open mode).
-F_BOUNDARY = 5
 #: Worker -> controller: the shard's final result payload.
 F_RESULT = 6
 #: Worker -> controller: unrecoverable failure (payload: error text).
@@ -47,10 +38,7 @@ F_ERROR = 7
 #: Controller -> worker: shut down cleanly.
 F_BYE = 8
 
-_KNOWN_TYPES = frozenset({
-    F_HELLO, F_WINDOW_REQ, F_WINDOW_GRANT, F_WINDOW_DONE,
-    F_BOUNDARY, F_RESULT, F_ERROR, F_BYE,
-})
+_KNOWN_TYPES = frozenset({F_HELLO, F_RESULT, F_ERROR, F_BYE})
 
 #: Hard ceiling on one frame's payload; a result frame for a merged-off
 #: campaign stays far below this, and anything larger is a protocol bug.

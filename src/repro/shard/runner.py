@@ -9,9 +9,16 @@ Three drive modes share one scenario definition
   and the scaling bench use: the plan proves shards causally
   independent, so each shard's isolated wall time is an honest measure
   of what a dedicated core would spend (critical-path throughput);
-* **process** — shards run in spawned worker processes synchronized by
-  the conservative window protocol over length-prefixed frames
+* **process** — each shard runs to completion in its own spawned worker
+  process and sends its result back as one length-prefixed frame
   (:mod:`repro.shard.worker`).
+
+Shards never synchronize while they run. Each is a full replica that
+injects only the flows it owns, and the plan proves that no packet of
+one shard's flows touches state another shard owns: flow-partitioned
+structures are flow-local, and any plan with global residue or an
+unextractable partition key is pinned to shard 0
+(:func:`repro.shard.plan.shardability`).
 
 Every sharded entry point gates on the committed shard plan first:
 :func:`repro.shard.plan.check_conformance` recomputes the plan from the
@@ -21,18 +28,13 @@ live code and refuses to shard on drift (launch-time RS408).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.net.simulator import Simulator
 from repro.shard import merge as merge_mod
 from repro.shard import plan as plan_mod
 from repro.shard.recorder import ShardRecorder
 from repro.shard.scenarios import Scenario, get_scenario
-from repro.shard.window import (
-    DEFAULT_CHUNK_US,
-    WindowController,
-    WindowSchedule,
-)
 from repro.telemetry import ScopedTimer
 
 
@@ -47,7 +49,6 @@ class ShardRunConfig:
     pinned: bool
     pin_reason: str
     lookahead_us: float
-    schedule: WindowSchedule
     seed: int
     fastpath: bool = False
     capture: bool = True
@@ -62,30 +63,22 @@ def resolve(
     seed: Optional[int] = None,
     fastpath: bool = False,
     capture: bool = True,
-    chunk_us: Optional[float] = None,
     heartbeat_dir: Optional[str] = None,
     heartbeat_interval_us: float = 1_000.0,
     conformance: bool = True,
     root: Optional[str] = None,
     params: Optional[Dict[str, Any]] = None,
 ) -> ShardRunConfig:
-    """Load scenario + plan, run the launch-time RS408 gate, and build
-    the window schedule. Raises before any worker starts on drift or an
-    inconsistent plan."""
+    """Load scenario + plan and run the launch-time RS408 gate. Raises
+    before any worker starts on drift or an inconsistent plan."""
     scenario = get_scenario(scenario_name)
     if conformance:
         committed = plan_mod.check_conformance(scenario.app, root)
     else:
         committed = plan_mod.load_plan(scenario.app, root)
+    # Validates the plan's recorded lookahead against its own links.
     lookahead = plan_mod.sync_window_us(committed)
     shardable, reason = plan_mod.shardability(committed)
-    # Flow-partitioned plans have an empty boundary set (every structure
-    # is flow-local, so no packet of one shard's flows ever needs state
-    # on another shard): windows become a pacing quantum. Pinned plans
-    # put all flows on shard 0, which empties the boundary set too.
-    schedule = WindowSchedule(
-        lookahead, chunk_us=chunk_us or DEFAULT_CHUNK_US, boundary_free=True
-    )
     return ShardRunConfig(
         scenario=scenario,
         workers=workers,
@@ -94,7 +87,6 @@ def resolve(
         pinned=not shardable,
         pin_reason="" if shardable else reason,
         lookahead_us=lookahead,
-        schedule=schedule,
         seed=scenario.seed if seed is None else seed,
         fastpath=fastpath,
         capture=capture,
@@ -151,15 +143,8 @@ def run_one_shard(
     config: ShardRunConfig,
     shard_index: int,
     ghost: bool = False,
-    pace_hook: Optional[Callable[[Simulator, float], None]] = None,
 ) -> Dict[str, Any]:
-    """Run one shard (or the ghost) to completion in this process.
-
-    ``pace_hook(sim, until)`` overrides the drive loop (the process-mode
-    worker passes its window-request loop); the default advances
-    directly, optionally chunked by the window schedule so inline runs
-    exercise the same windowed clock advancement.
-    """
+    """Run one shard (or the ghost) to completion in this process."""
     recorder = ShardRecorder(
         shard_index=0 if ghost else shard_index,
         num_shards=config.workers,
@@ -173,12 +158,8 @@ def run_one_shard(
     label = "ghost" if ghost else f"shard{shard_index}"
     bundle = _attach_heartbeat(sim, config, label)
 
-    if pace_hook is not None:
-        def pace(until: float) -> None:
-            pace_hook(sim, until)
-    else:
-        def pace(until: float) -> None:
-            sim.run(until=until)
+    def pace(until: float) -> None:
+        sim.run(until=until)
 
     with ScopedTimer("shard_worker") as timer:
         extra = config.scenario.fn(
@@ -192,57 +173,22 @@ def run_one_shard(
     return result
 
 
-def _windowed_pace(controller: WindowController, shard: int):
-    """Inline windowed drive: same grant/commit discipline the process
-    workers follow, against an in-process controller."""
-
-    def hook(sim: Simulator, until: float) -> None:
-        while sim.now < until:
-            upto = controller.request(shard, sim.now, until)
-            sim.run(until=upto)
-            controller.done(shard, sim.now)
-
-    return hook
-
-
-def run_sharded(
-    config: ShardRunConfig,
-    mode: str = "inline",
-    windowed: bool = True,
-) -> Dict[str, Any]:
+def run_sharded(config: ShardRunConfig, mode: str = "inline") -> Dict[str, Any]:
     """Run all shards plus the ghost and merge.
 
     Returns the merged result (see :func:`repro.shard.merge.merge_results`)
     plus per-shard wall times and scheduling metadata. ``mode`` is
-    ``"inline"`` (sequential, this process) or ``"process"`` (spawned
-    workers exchanging frames).
+    ``"inline"`` (sequential, this process) or ``"process"`` (one
+    spawned worker per shard).
     """
     if mode == "process":
         from repro.shard.worker import run_process_shards
 
         shard_results = run_process_shards(config)
     elif mode == "inline":
-        shard_results = []
-        if windowed:
-            # One controller spanning all shards: inline runs still
-            # exercise grant/commit clock discipline, shard by shard
-            # (legal: the plan proves the boundary set empty, so a
-            # shard never waits on another's events).
-            for index in range(config.workers):
-                controller = WindowController(config.workers, config.schedule)
-                # Peers that have not run yet hold clock 0; lift them to
-                # the horizon so a sequential shard is never throttled
-                # by a peer that cannot send it anything.
-                for other in range(config.workers):
-                    if other != index:
-                        controller.clocks[other] = float("inf")
-                shard_results.append(run_one_shard(
-                    config, index,
-                    pace_hook=_windowed_pace(controller, index),
-                ))
-        else:
-            for index in range(config.workers):
-                shard_results.append(run_one_shard(config, index))
+        shard_results = [
+            run_one_shard(config, index) for index in range(config.workers)
+        ]
     else:
         raise ValueError(f"unknown shard run mode {mode!r}")
 
@@ -257,7 +203,6 @@ def run_sharded(
     merged["pinned"] = config.pinned
     merged["pin_reason"] = config.pin_reason
     merged["lookahead_us"] = config.lookahead_us
-    merged["window_us"] = config.schedule.window_us
     merged["seed"] = config.seed
     merged["wall_s_per_shard"] = [r["wall_s"] for r in shard_results]
     merged["wall_s_ghost"] = ghost["wall_s"]

@@ -2,14 +2,14 @@
 
 Process mode: the parent spawns one worker per shard (``spawn`` context
 — a fresh interpreter, so bootstrap state must be picklable JSON
-scalars, see :class:`ShardSpec`), connects each over a
-``multiprocessing.Pipe``, and serves conservative window grants while
-workers simulate. All traffic is length-prefixed frames
+scalars, see :class:`ShardSpec`) and connects each over a
+``multiprocessing.Pipe``. Each worker runs its shard to completion on
+its own; shards share no state, so nothing crosses the pipe while they
+simulate. All traffic is length-prefixed frames
 (:mod:`repro.shard.frames`):
 
-worker -> controller: ``HELLO``, then ``WINDOW_REQ``/``WINDOW_DONE``
-per window, finally ``RESULT`` (the full shard result) or ``ERROR``;
-controller -> worker: ``WINDOW_GRANT`` per request, ``BYE`` at the end.
+worker -> controller: ``HELLO``, then ``RESULT`` (the full shard result)
+or ``ERROR``; controller -> worker: ``BYE`` once the result is in.
 
 The ghost run stays in the parent (it admits no flows and is cheap),
 executed after every worker result is in.
@@ -22,17 +22,7 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.shard.frames import (
-    F_BYE,
-    F_ERROR,
-    F_HELLO,
-    F_RESULT,
-    F_WINDOW_DONE,
-    F_WINDOW_GRANT,
-    F_WINDOW_REQ,
-    FrameConn,
-)
-from repro.shard.window import WindowController, WindowSchedule
+from repro.shard.frames import F_BYE, F_ERROR, F_HELLO, F_RESULT, FrameConn
 
 
 @dataclass
@@ -51,7 +41,6 @@ class ShardSpec:
     key_fields: List[str]
     pinned: bool
     lookahead_us: float
-    window_us: float
     fastpath: bool = False
     capture: bool = True
     heartbeat_dir: Optional[str] = None
@@ -60,7 +49,7 @@ class ShardSpec:
 
 
 def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
-    """Worker process entry point: run one shard, frame-synchronized."""
+    """Worker process entry point: run one shard, send its result."""
     spec = ShardSpec(**spec_dict)
     fc = FrameConn(conn)
     try:
@@ -78,10 +67,6 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
             pinned=spec.pinned,
             pin_reason="",
             lookahead_us=spec.lookahead_us,
-            schedule=WindowSchedule(
-                spec.lookahead_us, chunk_us=spec.window_us,
-                boundary_free=True,
-            ),
             seed=spec.seed,
             fastpath=spec.fastpath,
             capture=spec.capture,
@@ -89,24 +74,7 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
             heartbeat_interval_us=spec.heartbeat_interval_us,
             params=dict(spec.params),
         )
-
-        def pace_hook(sim: Any, until: float) -> None:
-            while sim.now < until:
-                fc.send(F_WINDOW_REQ, {
-                    "shard": spec.shard_index,
-                    "now": sim.now,
-                    "target": until,
-                })
-                _ftype, body = fc.recv_expect(F_WINDOW_GRANT)
-                sim.run(until=float(body["upto"]))
-                fc.send(F_WINDOW_DONE, {
-                    "shard": spec.shard_index, "now": sim.now,
-                })
-
-        result = run_one_shard(
-            config, spec.shard_index, pace_hook=pace_hook
-        )
-        fc.send(F_RESULT, result)
+        fc.send(F_RESULT, run_one_shard(config, spec.shard_index))
         fc.recv_expect(F_BYE)
     except Exception:
         try:
@@ -118,14 +86,15 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
 
 
 def run_process_shards(config: Any) -> List[Dict[str, Any]]:
-    """Spawn one worker per shard, serve window grants, collect results.
+    """Spawn one worker per shard and collect their results.
 
     ``config`` is a :class:`repro.shard.runner.ShardRunConfig`. Returns
     the shard results in shard order. A worker error tears the whole
     run down with its traceback — a partial merge would be meaningless.
+    So does a worker that exits without a result: its closed or torn
+    pipe raises a :class:`RuntimeError` naming the shard.
     """
     ctx = multiprocessing.get_context("spawn")
-    controller = WindowController(config.workers, config.schedule)
     conns: List[Any] = []
     procs: List[Any] = []
     for index in range(config.workers):
@@ -138,7 +107,6 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
             key_fields=list(config.key_fields),
             pinned=config.pinned,
             lookahead_us=config.lookahead_us,
-            window_us=config.schedule.window_us,
             fastpath=config.fastpath,
             capture=config.capture,
             heartbeat_dir=config.heartbeat_dir,
@@ -156,8 +124,8 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
 
     results: List[Optional[Dict[str, Any]]] = [None] * config.workers
     index_of = {id(fc._conn): i for i, fc in enumerate(conns)}
+    pending = set(range(config.workers))
     try:
-        pending = set(range(config.workers))
         while pending:
             ready = multiprocessing.connection.wait(
                 [conns[i]._conn for i in sorted(pending)],
@@ -170,18 +138,17 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
             for raw in ready:
                 index = index_of[id(raw)]
                 fc = conns[index]
-                ftype, body = fc.recv()
+                try:
+                    ftype, body = fc.recv()
+                except (EOFError, OSError, ValueError) as exc:
+                    procs[index].join(timeout=5.0)
+                    raise RuntimeError(
+                        f"shard worker {index} exited (exitcode "
+                        f"{procs[index].exitcode}) without a result"
+                    ) from exc
                 if ftype == F_HELLO:
                     continue
-                if ftype == F_WINDOW_REQ:
-                    upto = controller.request(
-                        int(body["shard"]), float(body["now"]),
-                        float(body["target"]),
-                    )
-                    fc.send(F_WINDOW_GRANT, {"upto": upto})
-                elif ftype == F_WINDOW_DONE:
-                    controller.done(int(body["shard"]), float(body["now"]))
-                elif ftype == F_RESULT:
+                if ftype == F_RESULT:
                     results[index] = body
                     fc.send(F_BYE, {})
                     pending.discard(index)
@@ -196,16 +163,14 @@ def run_process_shards(config: Any) -> List[Dict[str, Any]]:
                     )
     finally:
         for proc in procs:
-            proc.join(timeout=10.0)
+            # A failed run is lost: stop the survivors without waiting.
+            proc.join(timeout=0.0 if pending else 10.0)
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=5.0)
         for fc in conns:
             try:
                 fc.close()
             except OSError:
                 pass
-
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        raise RuntimeError(f"no result from shard(s) {missing}")
     return results  # type: ignore[return-value]

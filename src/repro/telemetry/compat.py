@@ -1,97 +1,16 @@
-"""Back-compat shims: legacy counter dicts as views over the registry.
+"""Back-compat shim: a legacy stat dict as a view over the registry.
 
-The pre-telemetry code exposed free-form stat dicts (``Simulator.counters``,
-``RedPlaneEngine.stats``). Those dicts are now *views* over registry
-instruments, so existing experiments and tests keep working unchanged
-while the registry is the single source of truth. Direct writes through
-the legacy ``Simulator.counters`` mapping raise a ``DeprecationWarning``;
-new code should use ``sim.metrics.counter(name).inc()``.
+The pre-telemetry code exposed free-form stat dicts such as
+``RedPlaneEngine.stats``. Those statistics are now registry counters;
+:class:`StatGroupView` keeps the old read-only dict surface over them,
+so the registry stays the single source of truth.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterator, Mapping, MutableMapping
+from typing import Dict, Iterator, Mapping
 
-from repro.telemetry.metrics import Counter, MetricRegistry
-
-
-#: Prefix of the historical flat drop-counter names, now synthesized from
-#: the labeled ``link.drops{link,reason}`` counters.
-_FLAT_LINK_DROPS = "link.drops."
-
-
-class LegacyCounters(MutableMapping):
-    """``Simulator.counters`` shim: a dict view of unlabeled counters.
-
-    Reads reflect the registry live. Writes still work (some old
-    experiment code resets counters between phases) but warn; deletion
-    likewise. Labeled instruments never appear here — the legacy dict
-    only ever held the flat ``sim.count()`` namespace — with one
-    exception: the historical ``link.drops.<reason>`` names read as
-    reason-wise totals over the labeled ``link.drops`` counters that
-    replaced them.
-    """
-
-    def __init__(self, registry: MetricRegistry) -> None:
-        self._registry = registry
-
-    def _counter(self, key: str) -> Counter:
-        inst = self._registry.get(key)
-        if not isinstance(inst, Counter) or inst.labels:
-            raise KeyError(key)
-        return inst
-
-    def _link_drop_reasons(self) -> Iterator[str]:
-        seen = set()
-        for inst in self._registry.instruments("link.drops"):
-            if isinstance(inst, Counter) and inst.labels:
-                reason = inst.label_dict.get("reason")
-                if reason is not None and reason not in seen:
-                    seen.add(reason)
-                    yield reason
-
-    def __getitem__(self, key: str) -> float:
-        try:
-            return self._counter(key).value
-        except KeyError:
-            if key.startswith(_FLAT_LINK_DROPS):
-                reason = key[len(_FLAT_LINK_DROPS):]
-                if reason in set(self._link_drop_reasons()):
-                    return self._registry.total("link.drops", reason=reason)
-            raise
-
-    def __setitem__(self, key: str, value: float) -> None:
-        warnings.warn(
-            "writing Simulator.counters directly is deprecated; use "
-            "sim.metrics.counter(name).inc() / sim.count()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._registry.counter(key)._force(value)
-
-    def __delitem__(self, key: str) -> None:
-        warnings.warn(
-            "deleting from Simulator.counters is deprecated; counters are "
-            "registry-owned",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._counter(key)  # raise KeyError if absent
-        self._registry.remove(key)
-
-    def __iter__(self) -> Iterator[str]:
-        for inst in self._registry.instruments():
-            if isinstance(inst, Counter) and not inst.labels:
-                yield inst.name
-        for reason in sorted(self._link_drop_reasons()):
-            yield _FLAT_LINK_DROPS + reason
-
-    def __len__(self) -> int:
-        return sum(1 for _ in iter(self))
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+from repro.telemetry.metrics import Counter
 
 
 class StatGroupView(Mapping):

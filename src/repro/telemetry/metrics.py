@@ -93,10 +93,6 @@ class Counter(Instrument):
     def value(self) -> float:
         return self._value
 
-    def _force(self, value: float) -> None:
-        """Overwrite the total. Only the deprecation shim may call this."""
-        self._value = float(value)
-
 
 class Gauge(Instrument):
     """A level that can move both ways."""

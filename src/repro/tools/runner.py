@@ -220,14 +220,13 @@ def run_bench_diff(name: str) -> int:
     return 0
 
 
-def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
-                 diff: bool, as_json: bool) -> int:
+def run_fastpath(flows: int, packets: int, seed: int, diff: bool,
+                 as_json: bool) -> int:
     """Fast-path statistics, or an on/off A/B identity + speedup check."""
     from repro.fastpath.bench import run_ab, run_scenario
 
     if diff:
-        result = run_ab(flows=flows, packets_per_flow=packets, seed=seed,
-                        scheduler=scheduler)
+        result = run_ab(flows=flows, packets_per_flow=packets, seed=seed)
         if as_json:
             slim = dict(result)
             for key in ("off", "on"):
@@ -253,7 +252,7 @@ def run_fastpath(flows: int, packets: int, seed: int, scheduler: str,
             return 1
         return 0
     result = run_scenario(flows=flows, packets_per_flow=packets, seed=seed,
-                          fastpath=True, scheduler=scheduler)
+                          fastpath=True)
     stats = result["fastpath_stats"]
     if as_json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -697,7 +696,6 @@ def run_shard_run(args: "argparse.Namespace") -> int:
     print(f"scenario    : {merged['scenario']} (app {merged['app']}, "
           f"seed {merged['seed']})")
     print(f"workers     : {merged['num_shards']} ({merged['mode']}), "
-          f"window {merged['window_us']} us, "
           f"lookahead {merged['lookahead_us']} us"
           + (f", PINNED: {merged['pin_reason']}" if merged["pinned"] else ""))
     print(f"events      : {merged['events']:,}")
@@ -936,9 +934,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  help="packets per flow (default 400)")
     fastpath_parser.add_argument("--seed", type=int, default=5,
                                  help="simulator seed (default 5)")
-    fastpath_parser.add_argument("--scheduler", default="heap",
-                                 choices=("heap", "wheel"),
-                                 help="event scheduler (default heap)")
     fastpath_parser.add_argument("--json", action="store_true",
                                  help="machine-readable output")
     metrics_parser = sub.add_parser(
@@ -1023,7 +1018,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     shard_run.add_argument("--mode", choices=("inline", "process"),
                            default="inline",
                            help="inline (sequential, one process) or "
-                                "process (spawned workers, framed sync)")
+                                "process (one spawned worker per shard)")
     shard_run.add_argument("--fastpath", action="store_true",
                            help="install the fast path in every shard")
     shard_run.add_argument("--no-capture", action="store_true",
@@ -1267,7 +1262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_bench_diff(args.experiment)
     if args.command == "fastpath":
         return run_fastpath(args.flows, args.packets, args.seed,
-                            args.scheduler, args.diff, args.json)
+                            args.diff, args.json)
     return run_experiment(args.experiment)
 
 

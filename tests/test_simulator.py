@@ -101,7 +101,7 @@ def test_counters():
     sim = Simulator()
     sim.count("drops")
     sim.count("drops", 2)
-    assert sim.counters["drops"] == 3
+    assert sim.metrics.value("drops") == 3
 
 
 def test_run_until_idle_guards_against_storms():

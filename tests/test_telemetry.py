@@ -18,7 +18,7 @@ from repro.telemetry import (
     Tracer,
     read_jsonl,
 )
-from repro.telemetry.compat import LegacyCounters, StatGroupView
+from repro.telemetry.compat import StatGroupView
 from repro.telemetry import trace as tt
 
 
@@ -220,32 +220,6 @@ def test_end_to_end_metrics_population():
 
 
 # -- legacy shims -------------------------------------------------------------
-
-def test_legacy_counters_reads_reflect_registry():
-    sim = Simulator(seed=0)
-    sim.count("drops.loss", 2)
-    assert sim.counters["drops.loss"] == 2.0
-    assert "drops.loss" in sim.counters
-    assert dict(sim.counters) == {"drops.loss": 2.0}
-    with pytest.raises(KeyError):
-        sim.counters["never.seen"]
-
-
-def test_legacy_counters_write_warns_but_works():
-    sim = Simulator(seed=0)
-    with pytest.warns(DeprecationWarning):
-        sim.counters["drops.loss"] = 5
-    assert sim.metrics.value("drops.loss") == 5.0
-    with pytest.warns(DeprecationWarning):
-        del sim.counters["drops.loss"]
-    assert sim.metrics.get("drops.loss") is None
-
-
-def test_legacy_counters_hide_labeled_instruments():
-    sim = Simulator(seed=0)
-    sim.metrics.counter("switch.pkts_processed", switch="agg1").inc()
-    assert "switch.pkts_processed" not in sim.counters
-
 
 def test_stat_group_view_is_read_only_ints():
     reg = MetricRegistry()
