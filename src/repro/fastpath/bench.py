@@ -32,6 +32,7 @@ from repro.apps.nat import NatApp, install_nat_routes
 from repro.fastpath.runtime import FastPath
 from repro.net.packet import Packet
 from repro.telemetry import ScopedTimer
+from repro.telemetry.metrics import without_families
 
 #: Scenario defaults: 50 flows x 400 packets is long enough that ramp
 #: misses (one per flow plus the control-plane install flushes) are noise
@@ -75,8 +76,7 @@ def _trace_digest(sim: Simulator) -> str:
 def _metrics_without_fastpath(sim: Simulator) -> dict:
     """Snapshot minus the ``fastpath.*`` families the fast path publishes;
     everything else must be bit-identical between on and off runs."""
-    return {k: v for k, v in sim.metrics.snapshot().items()
-            if not k.startswith("fastpath.")}
+    return without_families(sim.metrics.snapshot(), ("fastpath.",))
 
 
 def run_scenario(

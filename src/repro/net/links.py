@@ -240,13 +240,15 @@ class Link:
         flow = meta.get("flow_s")
         if flow is None and pkt.ip is not None:
             flow = meta["flow_s"] = str(pkt.flow_key())
+        # Taps only read the packet, so its wire size holds for the call.
+        size = pkt.byte_size()
         # The send record marks the packet *entering* the link direction —
         # emitted before the down/partition/loss/queue verdicts so every
         # wire-level drop pairs with an origin (span completeness).
         send_fields: Dict[str, object] = {
             "link": self.name,
             "dir": self._dir_names[key],
-            "bytes": pkt.byte_size(),
+            "bytes": size,
             "uid": uid,
             "kind": meta.get("rp_kind", "app"),
         }
@@ -265,7 +267,7 @@ class Link:
             # Asymmetric partition: this direction is a silent blackhole.
             self._drop(pkt, src_port, "partition")
             return
-        self._ctr_tx_bytes[key].inc(pkt.byte_size())
+        self._ctr_tx_bytes[key].inc(size)
         self._ctr_tx_packets[key].inc()
         for tap in self.taps:
             tap(pkt, src_port)
@@ -292,13 +294,13 @@ class Link:
         backlog_us = max(0.0, self._busy_until[key] - self.sim.now)
         if self.queue_limit_bytes is not None:
             backlog_bytes = backlog_us * rate_gbps * 1000.0 / 8.0
-            if backlog_bytes + pkt.byte_size() > self.queue_limit_bytes:
+            if backlog_bytes + size > self.queue_limit_bytes:
                 # Tail drop: the transmit queue is full.
                 self._ctr_queue_drops.inc()
                 self._drop(pkt, src_port, "queue")
                 return
         copies = 2 if duplicated else 1
-        ser_us = (pkt.byte_size() * 8) / (rate_gbps * 1000.0)
+        ser_us = (size * 8) / (rate_gbps * 1000.0)
         start = max(self.sim.now, self._busy_until[key])
         finish = start + ser_us * copies
         self._busy_until[key] = finish
@@ -326,7 +328,7 @@ class Link:
                 tt.PACKET_DUP,
                 link=self.name,
                 dir=self._dir_names[key],
-                bytes=pkt.byte_size(),
+                bytes=size,
                 uid=dup_uid,
                 parent=uid,
             )

@@ -4,9 +4,10 @@ Given N shard results plus one *ghost* result (a run that admitted no
 flows — exactly the shared events every shard replicates), reassemble
 what the single-process reference run would have produced:
 
-* **trace stream** — shared-rank records (validated identical on every
+* **trace ring** — shared-rank records (validated identical on every
   shard, kept once) plus each shard's owned-flow records, globally
-  sorted by ``(ts, rank, within-rank index)``;
+  sorted by ``(ts, rank, within-rank index)``; shards ship only the
+  owned records that can reach the ring tail, plus their full count;
 * **uids** — per-shard uid-birth logs merged with the same comparator;
   a local uid's global value is its birth's position in the merged
   order, and every uid-bearing trace field is rewritten;
@@ -32,7 +33,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, without_families
 from repro.telemetry.trace import TraceRecord
 
 #: Trace fields holding packet-span uids (rewritten during the merge).
@@ -173,36 +174,34 @@ def _merge_rows(
     uid_maps: Sequence[Dict[int, int]],
     ghost_uid_map: Dict[int, int],
 ) -> List[Tuple[float, int, int, str, Dict[str, Any]]]:
-    flow_ranks = set(shards[0]["flow_ranks"])
+    """Shared rows once plus every shard's owned ring tail, remapped and
+    in global order. Each shard ships its shared rows in full and only
+    the owned rows the merged ring can reach (see
+    :meth:`repro.shard.recorder.ShardRecorder.result`)."""
 
-    def shared_rows(res, uid_map):
-        label = "ghost" if res is ghost else f"shard {res['shard']}"
+    def remapped(rows, uid_map, label):
         return [
             (ts, rank, idx, type_,
              _remap_fields(fields, uid_map, f"{label} rank {rank}"))
-            for ts, rank, idx, type_, fields in res["rows"]
-            if rank not in flow_ranks
+            for ts, rank, idx, type_, fields in rows
         ]
 
-    reference_shared = shared_rows(shards[0], uid_maps[0])
+    reference_shared = remapped(shards[0]["shared_rows"], uid_maps[0],
+                                "shard 0")
     for res, uid_map in list(zip(shards[1:], uid_maps[1:])) + [
         (ghost, ghost_uid_map)
     ]:
-        other = shared_rows(res, uid_map)
+        label = "ghost" if res is ghost else f"shard {res['shard']}"
+        other = remapped(res["shared_rows"], uid_map, label)
         if other != reference_shared:
-            label = "ghost" if res is ghost else f"shard {res['shard']}"
             raise MergeError(
                 f"shared trace records diverge between shard 0 and "
                 f"{label}: {_first_diff(reference_shared, other)}"
             )
-    merged = list(reference_shared)
+    merged = reference_shared
     for res, uid_map in zip(shards, uid_maps):
-        owned = set(res["owned_flow_ranks"])
         merged.extend(
-            (ts, rank, idx, type_,
-             _remap_fields(fields, uid_map, f"shard {res['shard']}"))
-            for ts, rank, idx, type_, fields in res["rows"]
-            if rank in owned
+            remapped(res["owned_tail"], uid_map, f"shard {res['shard']}")
         )
     merged.sort(key=lambda row: (row[0], row[1], row[2]))
     return merged
@@ -361,14 +360,7 @@ def _merge_histograms(
 
 def strip_non_identity(snapshot: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
     """Drop metric families excluded from the identity contract."""
-    return {
-        section: {
-            ident: value
-            for ident, value in entries.items()
-            if not ident.startswith(NON_IDENTITY_PREFIXES)
-        }
-        for section, entries in snapshot.items()
-    }
+    return without_families(snapshot, NON_IDENTITY_PREFIXES)
 
 
 # -- top level ----------------------------------------------------------------
@@ -408,9 +400,11 @@ def merge_results(
     }
 
     rows = _merge_rows(shards, ghost, uid_maps, ghost_uid_map)
-    records = rows_to_records(rows)
+    merged_count = len(shards[0]["shared_rows"]) + sum(
+        res["owned_rows"] for res in shards
+    )
     maxlen = shards[0]["trace_maxlen"]
-    ring_tail = records[-maxlen:] if maxlen else records
+    ring_tail = rows_to_records(rows[-maxlen:] if maxlen else rows)
 
     events = (
         sum(res["events_executed"] for res in shards)
@@ -420,9 +414,9 @@ def merge_results(
         sum(res["records_emitted"] for res in shards)
         - (replicas - 1) * ghost["records_emitted"]
     )
-    if records_emitted != len(rows):
+    if records_emitted != merged_count:
         raise MergeError(
-            f"merged record count {len(rows)} != ghost-subtracted "
+            f"merged record count {merged_count} != ghost-subtracted "
             f"records_emitted {records_emitted}"
         )
 
@@ -440,7 +434,6 @@ def merge_results(
         "uids_allocated": len(_births),
         "trace": ring_tail,
         "trace_digest": trace_digest(ring_tail),
-        "records": records,
         "metrics": metrics,
         "rng_draws": sum(res["rng_draws"] for res in shards)
         + ghost["rng_draws"],

@@ -28,9 +28,11 @@ runs assert zero draws and anything else is reported honestly.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.shard.assign import find_packet, shard_of
+from repro.shard.merge import UID_FIELDS, MergeError
 from repro.telemetry.metrics import Gauge, Histogram
 from repro.telemetry.trace import TraceRecord
 
@@ -38,6 +40,9 @@ from repro.telemetry.trace import TraceRecord
 #: ``run()`` calls). Driver code runs in lockstep on every shard, so
 #: these are shared records like any shared-rank emission.
 DRIVER_RANK = -1
+
+#: The merge's global trace order: ``(ts, rank, within-rank index)``.
+_ROW_ORDER = itemgetter(0, 1, 2)
 
 
 class _CountingRandom(random.Random):
@@ -234,8 +239,30 @@ class ShardRecorder:
         return self._next_rank
 
     def result(self) -> Dict[str, Any]:
-        """Plain-data shard result, JSON-serializable for worker frames."""
+        """Plain-data shard result, JSON-serializable for worker frames.
+
+        Shared-rank trace rows go out in full: the merge checks them
+        identical on every replica. Owned rows go out only as far back
+        as the merged ring can reach. A row in the merged ring tail has
+        fewer than ``trace_maxlen`` merged records after it, so fewer
+        than that many of its own shard's, so it is in this shard's
+        sorted owned tail. ``owned_rows`` keeps the full owned count for
+        the merge's ``records_emitted`` identity, and the owned rows cut
+        here get the merge's uid-born check first, since it never sees
+        them.
+        """
         sim = self.sim
+        maxlen = sim.tracer.maxlen
+        shared: List[Tuple[float, int, int, TraceRecord]] = []
+        owned: List[Tuple[float, int, int, TraceRecord]] = []
+        for row in self.rows:
+            if row[1] in self.owned_flow_ranks:
+                owned.append(row)
+            elif row[1] not in self.flow_ranks:
+                shared.append(row)
+        owned.sort(key=_ROW_ORDER)
+        cut = max(len(owned) - maxlen, 0) if maxlen else 0
+        self._check_uids_born(owned[:cut])
         return {
             "shard": self.shard_index,
             "num_shards": self.num_shards,
@@ -244,20 +271,41 @@ class ShardRecorder:
             "capture": self.capture_records,
             "events_executed": sim.events_executed,
             "records_emitted": sim.tracer.records_emitted,
-            "trace_maxlen": sim.tracer.maxlen,
+            "trace_maxlen": maxlen,
             "rng_draws": self.rng_draws,
             "flows_injected": self.flows_injected,
             "flows_skipped": self.flows_skipped,
             "rank_count": self._next_rank,
             "flow_ranks": sorted(self.flow_ranks),
             "owned_flow_ranks": sorted(self.owned_flow_ranks),
-            "rows": [
+            "shared_rows": [
                 [ts, rank, idx, rec.type, rec.fields]
-                for ts, rank, idx, rec in self.rows
+                for ts, rank, idx, rec in shared
             ],
+            "owned_tail": [
+                [ts, rank, idx, rec.type, rec.fields]
+                for ts, rank, idx, rec in owned[cut:]
+            ],
+            "owned_rows": len(owned),
             "births": [list(b) for b in self.births],
             "observations": [list(o) for o in self.observations],
             "gauge_ops": [list(o) for o in self.gauge_ops],
             "metrics": sim.metrics.snapshot(),
             "final_now": sim.now,
         }
+
+    def _check_uids_born(
+        self, rows: Sequence[Tuple[float, int, int, TraceRecord]]
+    ) -> None:
+        """The merge's uid remap check, for rows it will not receive:
+        local uids are ``1..len(births)``."""
+        born = len(self.births)
+        for _ts, rank, _idx, rec in rows:
+            for key, value in rec.fields.items():
+                if (key in UID_FIELDS and isinstance(value, int)
+                        and not 1 <= value <= born):
+                    raise MergeError(
+                        f"shard {self.shard_index} rank {rank}: field "
+                        f"{key}={value} references a uid never born on "
+                        "that shard"
+                    )

@@ -8,8 +8,12 @@ its own; shards share no state, so nothing crosses the pipe while they
 simulate. All traffic is length-prefixed frames
 (:mod:`repro.shard.frames`):
 
-worker -> controller: ``HELLO``, then ``RESULT`` (the full shard result)
-or ``ERROR``; controller -> worker: ``BYE`` once the result is in.
+worker -> controller: ``HELLO``, then ``RESULT`` (the shard result: its
+shared trace rows in full, its owned rows only as far back as the merged
+ring can reach) or ``ERROR``; controller -> worker: ``BYE`` once the
+result is in. After ``BYE`` the worker exits without interpreter
+teardown: nothing is left to deliver, and freeing the shard's heap
+object by object would only delay the parent's ``join``.
 
 The ghost run stays in the parent (it admits no flows and is cheap),
 executed after every worker result is in.
@@ -18,6 +22,8 @@ executed after every worker result is in.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
@@ -52,6 +58,7 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
     """Worker process entry point: run one shard, send its result."""
     spec = ShardSpec(**spec_dict)
     fc = FrameConn(conn)
+    delivered = False
     try:
         from repro.shard.runner import ShardRunConfig, run_one_shard
         from repro.shard.scenarios import get_scenario
@@ -76,6 +83,7 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
         )
         fc.send(F_RESULT, run_one_shard(config, spec.shard_index))
         fc.recv_expect(F_BYE)
+        delivered = True
     except Exception:
         try:
             fc.send(F_ERROR, {"error": traceback.format_exc()})
@@ -83,6 +91,10 @@ def worker_main(conn: Any, spec_dict: Dict[str, Any]) -> None:
             pass
     finally:
         fc.close()
+    if delivered:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(0)
 
 
 def run_process_shards(config: Any) -> List[Dict[str, Any]]:

@@ -45,6 +45,21 @@ def percentile(samples: Sequence[float], p: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
+def without_families(
+    snapshot: Dict[str, Dict[str, object]], prefixes: Tuple[str, ...]
+) -> Dict[str, Dict[str, object]]:
+    """A :meth:`MetricRegistry.snapshot` minus every metric whose name
+    starts with one of ``prefixes``; the sections stay."""
+    return {
+        section: {
+            ident: value
+            for ident, value in entries.items()
+            if not ident.startswith(prefixes)
+        }
+        for section, entries in snapshot.items()
+    }
+
+
 def _label_items(labels: Dict[str, object]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 

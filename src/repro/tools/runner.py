@@ -668,8 +668,7 @@ def run_shard_plan(app: str, workers: int, as_json: bool) -> int:
 
 def _merged_summary(merged: dict) -> dict:
     """JSON-safe summary of a merged shard run (drops record objects)."""
-    return {k: v for k, v in merged.items()
-            if k not in ("trace", "records")}
+    return {k: v for k, v in merged.items() if k != "trace"}
 
 
 def run_shard_run(args: "argparse.Namespace") -> int:

@@ -7,7 +7,11 @@ from repro import Simulator, deploy
 from repro.apps.counter import SyncCounterApp
 from repro.apps.nat import NatApp, install_nat_routes
 from repro.fastpath import FLOW_SCOPES, SCOPES, FastPath, InvalidationBus
-from repro.fastpath.bench import identity_report, run_scenario
+from repro.fastpath.bench import (
+    _metrics_without_fastpath,
+    identity_report,
+    run_scenario,
+)
 from repro.fastpath.flowcache import ENTRY_DEPS, Entry
 from repro.net.links import Link, SinkNode
 from repro.net.packet import Packet
@@ -137,11 +141,28 @@ def test_fastpath_identical_under_sync_counter_writes():
         sim.run_until_idle()
         ring = [(r.ts, r.type, tuple(r.fields.items()))
                 for r in sim.tracer.tail(len(sim.tracer))]
-        metrics = {k: v for k, v in sim.metrics.snapshot().items()
-                   if not k.startswith("fastpath.")}
-        return sim.events_executed, ring, metrics
+        return sim.events_executed, ring, _metrics_without_fastpath(sim)
 
     assert run(False) == run(True)
+
+
+def test_ab_metric_filter_drops_fastpath_names_not_sections():
+    """Metrics the fast path publishes *before* the snapshot must not
+    reach the A/B comparison; every other metric must."""
+    sim, _dep, fp = _nat_sim()
+    fp.publish_metrics()
+    snapshot = sim.metrics.snapshot()
+    filtered = _metrics_without_fastpath(sim)
+    assert set(filtered) == set(snapshot)
+    dropped = 0
+    for section, entries in snapshot.items():
+        for ident, value in entries.items():
+            if ident.startswith("fastpath."):
+                assert ident not in filtered[section]
+                dropped += 1
+            else:
+                assert filtered[section][ident] == value
+    assert dropped > 0 and sum(map(len, filtered.values())) > 0
 
 
 def test_impaired_link_falls_back_to_reference_path():
@@ -157,10 +178,7 @@ def test_impaired_link_falls_back_to_reference_path():
         for _ in range(200):
             a.ports[0].send(Packet.udp(1, 2, 3, 4))
         sim.run_until_idle()
-        metrics = {kind: {k: v for k, v in entries.items()
-                          if not k.startswith("fastpath.")}
-                   for kind, entries in sim.metrics.snapshot().items()}
-        return len(b.received), metrics
+        return len(b.received), _metrics_without_fastpath(sim)
 
     assert run(False) == run(True)
     # And the lane really did decline: no batched deliveries, no lanes

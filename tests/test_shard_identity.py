@@ -58,3 +58,15 @@ def test_identity_requires_rng_silence():
     out = run_identity("nat_quickstart", workers=2)
     assert out["report"]["rng_silent"]
     assert out["merged"]["rng_draws"] == 0
+
+
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_ring_overflow_run_is_byte_identical(mode):
+    """97,680 records overflow the 65,536-record trace ring, so each
+    shard ships only its owned ring tail; the merged ring must still
+    equal the reference's."""
+    out = run_identity("nat_steady", workers=2, mode=mode,
+                       params={"flows": 60, "packets_per_flow": 120})
+    _assert_identical(out)
+    merged = out["merged"]
+    assert merged["records_emitted"] > len(merged["trace"]) == 65_536

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.simulator import Simulator
 from repro.shard.merge import (
     PEAK_GAUGE_SOURCES,
     UID_FIELDS,
     MergeError,
     _replay_peak_gauges,
+    identity_report,
+    merge_results,
+    reference_result,
     strip_non_identity,
     summary_results,
 )
+from repro.shard.recorder import ShardRecorder
+from repro.shard.runner import resolve
 
 
 def _counts(events, records, flows, ghost=False):
@@ -126,3 +132,65 @@ def test_peak_sources_table_names_real_instruments():
     for peak_name, source_name in PEAK_GAUGE_SOURCES.items():
         assert peak_name != source_name
         assert peak_name.startswith("switch.")
+
+
+# -- owned ring tail -----------------------------------------------------------
+
+RING = 64
+
+
+def _recorded_nat_steady(shard_index, ghost=False):
+    """One nat_steady shard (or the ghost) of 2 under a 64-record trace
+    ring, returned before ``result()`` runs."""
+    config = resolve("nat_steady", 2)
+    recorder = ShardRecorder(
+        shard_index, 2, config.key_fields, pinned=config.pinned,
+        ghost=ghost,
+    )
+    sim = Simulator(seed=config.seed, trace_ring=RING)
+    recorder.attach(sim, config.seed)
+    config.scenario.fn(sim, lambda until: sim.run(until=until))
+    return recorder
+
+
+def _small_ring_merge_inputs():
+    shards = [_recorded_nat_steady(i).result() for i in range(2)]
+    ghost = _recorded_nat_steady(0, ghost=True).result()
+    return shards, ghost
+
+
+def test_owned_tail_merge_matches_a_small_reference_ring():
+    """Each shard ships at most RING owned rows, out of thousands, and
+    the merged ring still equals the reference's byte for byte."""
+    shards, ghost = _small_ring_merge_inputs()
+    assert all(len(res["owned_tail"]) == RING for res in shards)
+    assert all(res["owned_rows"] > 10 * RING for res in shards)
+    config = resolve("nat_steady", 2)
+    sim = Simulator(seed=config.seed, trace_ring=RING)
+    config.scenario.fn(sim, lambda until: sim.run(until=until))
+    report = identity_report(reference_result(sim),
+                             merge_results(shards, ghost))
+    assert all(report.values()), report
+
+
+def test_unborn_uid_outside_the_shipped_tail_still_raises():
+    """The merge never sees an owned row cut from the ring tail, so the
+    shard checks its uids before cutting it."""
+    recorder = _recorded_nat_steady(0)
+    owned = sorted(
+        (row for row in recorder.rows
+         if row[1] in recorder.owned_flow_ranks and "uid" in row[3].fields),
+        key=lambda row: row[:3],
+    )
+    assert len(owned) > RING
+    owned[0][3].fields["uid"] = len(recorder.births) + 1
+    with pytest.raises(MergeError, match="never born"):
+        recorder.result()
+
+
+def test_off_by_one_owned_rows_trips_the_records_emitted_identity():
+    shards, ghost = _small_ring_merge_inputs()
+    merge_results(shards, ghost)
+    shards[1]["owned_rows"] += 1
+    with pytest.raises(MergeError, match="records_emitted"):
+        merge_results(shards, ghost)
