@@ -1,15 +1,16 @@
 """Compiled per-direction link lanes.
 
 A lane is the fast path for one direction of one :class:`~repro.net.links.Link`.
-The reference ``Link.transmit`` re-derives everything per packet: direction
-name, counter handles, the destination port, and re-checks impairment,
-loss, tap, reorder, and queue state that is almost always quiescent. A
-lane freezes the direction-invariant half of that work at construction
-(direction label, tx counter handles, destination port/node — all fixed
-for the lifetime of the topology) and keeps the mutable half as a single
-guard: if the link is in *any* non-trivial condition (down, lossy,
-tapped, reordering, queue-limited, or carrying an active impairment),
-the lane refuses the packet and the reference path runs untouched.
+It freezes the direction-invariant state at construction (direction
+label, tx counter handles, destination port/node — all fixed for the
+lifetime of the topology). The reference ``Link.transmit`` checks
+impairment, loss, tap, reorder, and queue state one by one per packet,
+though that state is almost always quiescent; a lane folds those checks
+into a single guard: if the link is in *any* non-trivial condition (down,
+lossy, tapped, reordering, queue-limited, or carrying an active
+impairment), the lane refuses the packet and the reference path runs
+untouched. Both paths share the simulator's flow-tag memo and write the
+send record through :func:`repro.net.links.emit_send`.
 
 Because the guard is checked before any side effect, and the healthy
 path below replays the reference path's side effects exactly (same trace
@@ -28,6 +29,7 @@ execution order exactly; only ``Simulator.events_executed`` shrinks.
 
 from __future__ import annotations
 
+from repro.net.links import emit_send
 from repro.telemetry import trace as tt
 
 
@@ -87,26 +89,10 @@ class Lane:
             uid = meta["uid"] = sim.new_uid()
         flow = meta.get("flow_s")
         if flow is None and pkt.ip is not None:
-            flow = meta["flow_s"] = self.fp.flow_str_of(pkt)
+            flow = meta["flow_s"] = sim.flow_tag(pkt)
         nbytes = pkt.byte_size()
-        kind = meta.get("rp_kind", "app")
-        parent = meta.get("parent_uid")
-        # Direct keyword calls (in the reference path's field order) so
-        # the hot path builds one kwargs dict, not a dict plus a copy.
-        if parent is None:
-            if flow is not None:
-                self.emit(tt.PACKET_SEND, link=link.name, dir=self.dir_name,
-                          bytes=nbytes, uid=uid, kind=kind, flow=flow)
-            else:
-                self.emit(tt.PACKET_SEND, link=link.name, dir=self.dir_name,
-                          bytes=nbytes, uid=uid, kind=kind)
-        elif flow is not None:
-            self.emit(tt.PACKET_SEND, link=link.name, dir=self.dir_name,
-                      bytes=nbytes, uid=uid, kind=kind, flow=flow,
-                      parent=parent)
-        else:
-            self.emit(tt.PACKET_SEND, link=link.name, dir=self.dir_name,
-                      bytes=nbytes, uid=uid, kind=kind, parent=parent)
+        emit_send(sim.tracer, link.name, self.dir_name, nbytes, uid,
+                  meta.get("rp_kind", "app"), flow, meta.get("parent_uid"))
         self.inc_tx_bytes(nbytes)
         self.inc_tx_pkts()
         now = sim.now

@@ -81,6 +81,13 @@ FAILURE_DETECT_US = 350_000.0
 #: Time for routing to converge after a failed element recovers, us.
 RECOVERY_DETECT_US = 350_000.0
 
+# --- Host-side memos ----------------------------------------------------------
+
+#: Entry bound of each per-run memo (route selections per switch, flow
+#: tags per simulator, fast-path flow caches). Reaching it clears the
+#: memo, so memory follows the active working set in million-flow runs.
+MEMO_CAP = 262_144
+
 # --- Hosts ------------------------------------------------------------------
 
 #: Host NIC + kernel-bypass stack processing time per packet (us).

@@ -25,6 +25,7 @@ from repro.net import constants
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 from repro.telemetry import trace as tt
+from repro.telemetry.trace import Tracer
 
 
 @dataclass
@@ -72,6 +73,31 @@ class LinkImpairment:
             if value != default:
                 parts.append(f"{attr}={value:g}")
         return ",".join(parts) or "healthy"
+
+
+def emit_send(tracer: Tracer, link: str, dir_: str, nbytes: int, uid: int,
+              kind: str, flow: Optional[str], parent: Optional[int]) -> None:
+    """Write one ``packet.send`` record (shared by ``Link.transmit`` and
+    the fast path's lanes).
+
+    Fields go in a fixed order (``link, dir, bytes, uid, kind``, then
+    ``flow`` and ``parent`` when set) as direct keywords, so the hot
+    path builds one kwargs dict rather than a dict plus a copy, and the
+    telemetry lint can check each field set against the schema.
+    """
+    if parent is None:
+        if flow is None:
+            tracer.emit(tt.PACKET_SEND, link=link, dir=dir_, bytes=nbytes,
+                        uid=uid, kind=kind)
+        else:
+            tracer.emit(tt.PACKET_SEND, link=link, dir=dir_, bytes=nbytes,
+                        uid=uid, kind=kind, flow=flow)
+    elif flow is None:
+        tracer.emit(tt.PACKET_SEND, link=link, dir=dir_, bytes=nbytes,
+                    uid=uid, kind=kind, parent=parent)
+    else:
+        tracer.emit(tt.PACKET_SEND, link=link, dir=dir_, bytes=nbytes,
+                    uid=uid, kind=kind, flow=flow, parent=parent)
 
 
 class Node:
@@ -218,7 +244,8 @@ class Link:
 
     def transmit(self, pkt: Packet, src_port: Port) -> None:
         """Send a packet from ``src_port`` toward the other end."""
-        fp = self.sim.fastpath
+        sim = self.sim
+        fp = sim.fastpath
         if fp is not None:
             # Inlined lane lookup (one dict probe on the hot path); a
             # compiled lane accepting the packet is bit-identical to the
@@ -233,35 +260,24 @@ class Link:
         meta = pkt.meta
         uid = meta.get("uid")
         if uid is None:
-            uid = meta["uid"] = self.sim.new_uid()
+            uid = meta["uid"] = sim.new_uid()
         key = id(src_port)
         # Flow tag computed once per packet lifetime and cached in meta so
         # per-flow timelines can filter sends without joining other records.
         flow = meta.get("flow_s")
         if flow is None and pkt.ip is not None:
-            flow = meta["flow_s"] = str(pkt.flow_key())
+            flow = meta["flow_s"] = sim.flow_tag(pkt)
         # Taps only read the packet, so its wire size holds for the call.
         size = pkt.byte_size()
         # The send record marks the packet *entering* the link direction —
         # emitted before the down/partition/loss/queue verdicts so every
         # wire-level drop pairs with an origin (span completeness).
-        send_fields: Dict[str, object] = {
-            "link": self.name,
-            "dir": self._dir_names[key],
-            "bytes": size,
-            "uid": uid,
-            "kind": meta.get("rp_kind", "app"),
-        }
-        if flow is not None:
-            send_fields["flow"] = flow
-        parent = meta.get("parent_uid")
-        if parent is not None:
-            send_fields["parent"] = parent
-        self.sim.tracer.emit(tt.PACKET_SEND, **send_fields)
+        emit_send(sim.tracer, self.name, self._dir_names[key], size, uid,
+                  meta.get("rp_kind", "app"), flow, meta.get("parent_uid"))
         if not self.up:
             self._drop(pkt, src_port, "down")
             return
-        dst_port = self.other_end(src_port)
+        dst_port = self.b if src_port is self.a else self.a
         impairment = self._impairments.get(key)
         if impairment is not None and impairment.blocked:
             # Asymmetric partition: this direction is a silent blackhole.
@@ -271,7 +287,7 @@ class Link:
         self._ctr_tx_packets[key].inc()
         for tap in self.taps:
             tap(pkt, src_port)
-        if self.loss_rate > 0.0 and self.sim.rng.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and sim.rng.random() < self.loss_rate:
             self._drop(pkt, src_port, "loss")
             return
         rate_gbps = self.bandwidth_gbps
@@ -280,20 +296,21 @@ class Link:
         jitter_us = 0.0
         if impairment is not None:
             if (impairment.drop_rate > 0.0
-                    and self.sim.rng.random() < impairment.drop_rate):
+                    and sim.rng.random() < impairment.drop_rate):
                 self._drop(pkt, src_port, "gray_loss")
                 return
             rate_gbps *= impairment.bandwidth_scale
             if impairment.corrupt_rate > 0.0:
-                corrupted = self.sim.rng.random() < impairment.corrupt_rate
+                corrupted = sim.rng.random() < impairment.corrupt_rate
             if impairment.duplicate_rate > 0.0:
-                duplicated = self.sim.rng.random() < impairment.duplicate_rate
+                duplicated = sim.rng.random() < impairment.duplicate_rate
             if impairment.jitter_us > 0.0:
-                jitter_us = self.sim.rng.random() * impairment.jitter_us
+                jitter_us = sim.rng.random() * impairment.jitter_us
         # Store-and-forward with per-direction serialization queueing.
-        backlog_us = max(0.0, self._busy_until[key] - self.sim.now)
+        now = sim.now
+        busy = self._busy_until[key]
         if self.queue_limit_bytes is not None:
-            backlog_bytes = backlog_us * rate_gbps * 1000.0 / 8.0
+            backlog_bytes = max(0.0, busy - now) * rate_gbps * 1000.0 / 8.0
             if backlog_bytes + size > self.queue_limit_bytes:
                 # Tail drop: the transmit queue is full.
                 self._ctr_queue_drops.inc()
@@ -301,30 +318,29 @@ class Link:
                 return
         copies = 2 if duplicated else 1
         ser_us = (size * 8) / (rate_gbps * 1000.0)
-        start = max(self.sim.now, self._busy_until[key])
-        finish = start + ser_us * copies
-        self._busy_until[key] = finish
-        delay = (start + ser_us - self.sim.now) + self.latency_us + jitter_us
-        if self.reorder_rate > 0.0 and self.sim.rng.random() < self.reorder_rate:
-            delay += constants.REORDER_EXTRA_US * self.sim.rng.random()
-            self.sim.count("link.reordered")
-            self.sim.tracer.emit(
+        start = busy if busy > now else now
+        self._busy_until[key] = start + ser_us * copies
+        delay = (start + ser_us - now) + self.latency_us + jitter_us
+        if self.reorder_rate > 0.0 and sim.rng.random() < self.reorder_rate:
+            delay += constants.REORDER_EXTRA_US * sim.rng.random()
+            sim.count("link.reordered")
+            sim.tracer.emit(
                 tt.PACKET_REORDER,
                 link=self.name,
                 dir=self._dir_names[key],
                 delay_us=delay,
                 uid=uid,
             )
-        self.sim.schedule(delay, self._deliver, pkt, dst_port, corrupted)
+        sim.schedule(delay, self._deliver, pkt, dst_port, corrupted)
         if duplicated:
             # The duplicate serializes right behind the original and is a
             # distinct object downstream (each copy is processed once); it
             # gets its own span uid with the original as parent.
             self._ctr_duplicated.inc()
             dup_pkt = pkt.copy()
-            dup_uid = dup_pkt.meta["uid"] = self.sim.new_uid()
+            dup_uid = dup_pkt.meta["uid"] = sim.new_uid()
             dup_pkt.meta["parent_uid"] = uid
-            self.sim.tracer.emit(
+            sim.tracer.emit(
                 tt.PACKET_DUP,
                 link=self.name,
                 dir=self._dir_names[key],
@@ -332,13 +348,13 @@ class Link:
                 uid=dup_uid,
                 parent=uid,
             )
-            self.sim.schedule(
+            sim.schedule(
                 delay + ser_us, self._deliver, dup_pkt, dst_port, corrupted
             )
 
     def _deliver(self, pkt: Packet, dst_port: Port,
                  corrupted: bool = False) -> None:
-        src_port = self.other_end(dst_port)
+        src_port = self.a if dst_port is self.b else self.b
         if not self.up:
             self._drop(pkt, src_port, "down")
             return

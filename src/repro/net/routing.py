@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.net import constants
 from repro.net.links import Node, Port
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import FlowKey, Packet, TCPHeader, UDPHeader
 from repro.net.simulator import Simulator
 
 
@@ -62,9 +62,8 @@ class RoutingTable:
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-        #: Bumped on every mutation; the fast path's per-switch route
-        #: caches are valid only while this (and the owning switch's
-        #: belief version) is unchanged.
+        #: Bumped on every mutation; a switch's route memo is valid only
+        #: while this (and the switch's belief version) is unchanged.
         self.version = 0
 
     def add(self, prefix: int, mask_len: int, ports: List[Port]) -> Route:
@@ -103,14 +102,29 @@ class L3Switch(Node):
     def __init__(self, sim: Simulator, name: str, ecmp_seed: Optional[int] = None) -> None:
         super().__init__(sim, name)
         self.table = RoutingTable()
-        self.ecmp_seed = ecmp_seed if ecmp_seed is not None else self.DEFAULT_ECMP_SEED
         self.port_up_belief: Dict[int, bool] = {}
         #: Bumped on every belief change; see :attr:`RoutingTable.version`.
         self.belief_version = 0
+        #: Successful selections keyed by ``(dst, proto, sport, dport)``,
+        #: filled under the table and belief versions recorded beside it.
+        self._route_memo: Dict[tuple, Port] = {}
+        self._memo_table_ver = 0
+        self._memo_belief_ver = 0
+        self.ecmp_seed = ecmp_seed if ecmp_seed is not None else self.DEFAULT_ECMP_SEED
         self.forwarded = 0
         self.dropped_no_route = 0
         self.dropped_ttl = 0
         self.dropped_no_next_hop = 0
+
+    @property
+    def ecmp_seed(self) -> int:
+        """This switch's ECMP hash seed; setting it clears the route memo."""
+        return self._ecmp_seed
+
+    @ecmp_seed.setter
+    def ecmp_seed(self, seed: int) -> None:
+        self._ecmp_seed = seed
+        self._route_memo = {}
 
     # -- belief management --------------------------------------------------
 
@@ -143,14 +157,38 @@ class L3Switch(Node):
         self.sim.schedule(constants.SWITCH_PIPELINE_US, out_port.send, pkt)
 
     def select_port(self, pkt: Packet) -> Optional[Port]:
-        """Pick the output port for a packet without sending it."""
-        fp = self.sim.fastpath
-        if fp is not None:
-            return fp.select_port(self, pkt)
-        return self._select_port_uncached(pkt)
+        """Pick the output port for a packet without sending it.
+
+        Successful selections are memoized per ``(dst, proto, sport,
+        dport)``, the only packet fields the LPM + ECMP walk reads. The
+        memo holds while the table and belief versions are the ones it
+        was filled under; setting :attr:`ecmp_seed` clears it. Drop
+        outcomes are never memoized: they re-walk the table so their
+        counters fire once per packet.
+        """
+        memo = self._route_memo
+        if (self.table.version != self._memo_table_ver
+                or self.belief_version != self._memo_belief_ver):
+            memo = self._route_memo = {}
+            self._memo_table_ver = self.table.version
+            self._memo_belief_ver = self.belief_version
+        ip = pkt.ip
+        l4 = pkt.l4
+        if type(l4) is UDPHeader or type(l4) is TCPHeader:
+            key = (ip.dst, ip.proto, l4.sport, l4.dport)
+        else:
+            key = (ip.dst, ip.proto, 0, 0)
+        port = memo.get(key)
+        if port is None:
+            port = self._select_port_uncached(pkt)
+            if port is not None:
+                if len(memo) >= constants.MEMO_CAP:
+                    memo.clear()
+                memo[key] = port
+        return port
 
     def _select_port_uncached(self, pkt: Packet) -> Optional[Port]:
-        """The reference LPM + ECMP walk (also the cache-fill path)."""
+        """The LPM + ECMP walk behind :meth:`select_port`'s memo."""
         route = self.table.lookup(pkt.ip.dst)
         if route is None:
             self.dropped_no_route += 1

@@ -22,8 +22,10 @@ import heapq
 import itertools
 import random
 import warnings
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.net import constants
+from repro.net.packet import TCPHeader, UDPHeader
 from repro.telemetry import MetricRegistry, Tracer
 
 
@@ -82,6 +84,8 @@ class Simulator:
         # event-execution order, so ids are deterministic per seed and
         # never touch the RNG or the event heap.
         self._uid_seq = itertools.count(1)
+        #: ``str(FlowKey)`` per raw 5-tuple; see :meth:`flow_tag`.
+        self._flow_tags: Dict[tuple, str] = {}
         #: The run's metric registry: every component publishes through it.
         self.metrics = MetricRegistry()
         #: The run's trace ring; timestamps are this clock's simulated time.
@@ -317,6 +321,27 @@ class Simulator:
         if self.shard_ctx is not None:
             self.shard_ctx.note_uid(uid)
         return uid
+
+    def flow_tag(self, pkt: Any) -> str:
+        """``str(pkt.flow_key())``, memoized per raw 5-tuple.
+
+        Every ``packet.send`` record carries this tag. The memo formats
+        it once per flow instead of once per packet object; ``pkt`` must
+        have an IP header.
+        """
+        ip = pkt.ip
+        l4 = pkt.l4
+        if type(l4) is UDPHeader or type(l4) is TCPHeader:
+            key = (ip.src, ip.dst, ip.proto, l4.sport, l4.dport)
+        else:
+            key = (ip.src, ip.dst, ip.proto, 0, 0)
+        tags = self._flow_tags
+        tag = tags.get(key)
+        if tag is None:
+            if len(tags) >= constants.MEMO_CAP:
+                tags.clear()
+            tag = tags[key] = str(pkt.flow_key())
+        return tag
 
     def tag_packet(self, pkt: Any) -> int:
         """Ensure ``pkt.meta['uid']`` is set; returns the packet's uid.

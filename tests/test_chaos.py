@@ -112,7 +112,7 @@ def test_cli_run_writes_report_and_checks_determinism(tmp_path, capsys):
                                   "lease_race", "duplicate_storm"])
 def test_campaign_verdict_identical_with_fastpath(name):
     """The fast path must be invisible to chaos auditing: the same
-    campaign with the flow/route caches and compiled lanes installed
+    campaign with the flow caches and compiled lanes installed
     produces a byte-identical verdict report. Every fault injection
     publishes on the invalidation bus, so no replay can race a fault."""
     reference = verdict_json(run_campaign(name, seed=42))

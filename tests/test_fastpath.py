@@ -33,11 +33,12 @@ def test_bus_scopes_and_flow_generation():
 
 
 def test_register_and_routing_are_not_flow_scopes():
-    """Replay reads registers live and route caches use local version
-    counters; neither scope may flush flow entries (a per-new-flow state
-    install would otherwise wipe the whole cache)."""
+    """Replay reads registers live, so the register scope may not flush
+    flow entries (a per-new-flow state install would otherwise wipe the
+    whole cache). Route changes are no bus scope at all: the route memo
+    lives on the switch and checks its own version counters."""
     assert "register" not in FLOW_SCOPES
-    assert "routing" not in FLOW_SCOPES
+    assert "routing" not in SCOPES
     assert FLOW_SCOPES <= set(SCOPES)
 
 

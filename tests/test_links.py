@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import constants
 from repro.net.links import Link, LinkImpairment, Node, SinkNode
-from repro.net.packet import Packet
+from repro.net.packet import IPv4Header, Packet
 from repro.net.simulator import Simulator
 
 
@@ -235,3 +235,47 @@ def test_base_node_receive_not_implemented():
     node = Node(sim, "n")
     with pytest.raises(NotImplementedError):
         node.receive(Packet.udp(1, 2, 3, 4), None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Packet.udp(0x0A000001, 0x0A000002, 5000, 7777),
+    lambda: Packet.tcp(0x0A000001, 0x0A000002, 40000, 80),
+    lambda: Packet(ip=IPv4Header(src=0x0A000001, dst=0x0A000002, proto=1)),
+], ids=["udp", "tcp", "ip_only"])
+def test_flow_tag_memo_matches_the_flow_key_string(make):
+    sim = Simulator()
+    first = make()
+    assert sim.flow_tag(first) == str(first.flow_key())
+    # A fresh packet object of the same flow is served from the memo.
+    again = make()
+    assert sim.flow_tag(again) == str(again.flow_key())
+    assert len(sim._flow_tags) == 1
+
+
+def test_flow_tag_memo_capacity_flush_keeps_it_bounded(monkeypatch):
+    monkeypatch.setattr(constants, "MEMO_CAP", 3)
+    sim = Simulator()
+    for sport in range(10):
+        pkt = Packet.udp(1, 2, sport, 9)
+        assert sim.flow_tag(pkt) == str(pkt.flow_key())
+        assert 1 <= len(sim._flow_tags) <= 3
+
+
+@pytest.mark.parametrize("has_ip", [True, False], ids=["ip", "non_ip"])
+@pytest.mark.parametrize("parent", [None, 99], ids=["root", "child"])
+def test_send_record_field_order(has_ip, parent):
+    sim = Simulator()
+    a, b, link = make_pair(sim)
+    pkt = Packet.udp(0x0A000001, 0x0A000002, 5000, 7777) if has_ip else Packet()
+    if parent is not None:
+        pkt.meta["parent_uid"] = parent
+    a.ports[0].send(pkt)
+    sim.run_until_idle()
+    (send,) = sim.tracer.records_of("packet.send")
+    expected = {"link": link.name, "dir": "a->b", "bytes": pkt.byte_size(),
+                "uid": 1, "kind": "app"}
+    if has_ip:
+        expected["flow"] = str(pkt.flow_key())
+    if parent is not None:
+        expected["parent"] = parent
+    assert list(send.fields.items()) == list(expected.items())

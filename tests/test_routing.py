@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.fastpath.runtime import FastPath
+from repro.net import constants
 from repro.net.links import Link, SinkNode
 from repro.net.packet import FlowKey, Packet, ip_aton
 from repro.net.routing import L3Switch, RoutingTable, Route, ecmp_hash
@@ -137,3 +139,99 @@ def test_select_port_is_deterministic_per_flow():
     first = sw.select_port(pkt)
     for _ in range(10):
         assert sw.select_port(pkt) is first
+
+
+# -- the route memo ------------------------------------------------------------
+
+
+def _ecmp_switch(sim, ways):
+    """A switch with one default route spread over ``ways`` next hops."""
+    sw = L3Switch(sim, "sw")
+    for i in range(ways):
+        Link(sim, sw.new_port(), SinkNode(sim, f"s{i}").new_port())
+    sw.table.add(0, 0, list(sw.ports))
+    return sw
+
+
+def _flows(n, dst=2):
+    return [Packet.udp(1, dst, 1000 + i, 80) for i in range(n)]
+
+
+def _assert_memo_matches_fresh_walk(sw, pkts):
+    for pkt in pkts:
+        assert sw.select_port(pkt) is sw._select_port_uncached(pkt)
+
+
+@pytest.mark.parametrize("fastpath", [False, True], ids=["reference", "fastpath"])
+def test_ecmp_seed_change_invalidates_the_route_memo(fastpath):
+    sim = Simulator()
+    sw = _ecmp_switch(sim, 3)
+    if fastpath:
+        FastPath.install(sim)
+    pkts = _flows(20)
+    before = [sw.select_port(p) for p in pkts]
+    sw.ecmp_seed = 1
+    after = [sw.select_port(p) for p in pkts]
+    # The new seed re-spreads the flows; none may keep a stale port.
+    assert after != before
+    _assert_memo_matches_fresh_walk(sw, pkts)
+
+
+def test_belief_flip_mid_run_changes_the_memoized_answer():
+    sim = Simulator()
+    sw = _ecmp_switch(sim, 2)
+    pkts = _flows(20)
+    first = [sw.select_port(p) for p in pkts]
+    assert sw.ports[0] in first
+    sw.set_port_belief(sw.ports[0], False)
+    assert all(sw.select_port(p) is sw.ports[1] for p in pkts)
+    _assert_memo_matches_fresh_walk(sw, pkts)
+    sw.set_port_belief(sw.ports[0], True)
+    assert [sw.select_port(p) for p in pkts] == first
+
+
+def test_route_added_mid_run_changes_the_memoized_answer():
+    sim = Simulator()
+    sw = _ecmp_switch(sim, 2)
+    narrow = SinkNode(sim, "narrow")
+    Link(sim, sw.new_port(), narrow.new_port())
+    dst = ip_aton("10.0.1.5")
+    pkts = _flows(10, dst=dst)
+    assert all(sw.select_port(p) is not sw.ports[2] for p in pkts)
+    sw.table.add(ip_aton("10.0.1.0"), 24, [sw.ports[2]])
+    assert all(sw.select_port(p) is sw.ports[2] for p in pkts)
+    _assert_memo_matches_fresh_walk(sw, pkts)
+
+
+def test_drops_are_never_memoized_and_count_every_packet():
+    sim = Simulator()
+    sw = L3Switch(sim, "sw")
+    Link(sim, sw.new_port(), SinkNode(sim, "a").new_port())
+    sw.table.add(ip_aton("10.0.0.0"), 8, [sw.ports[0]])
+    unrouted = Packet.udp(1, ip_aton("9.9.9.9"), 5, 6)
+    for _ in range(5):
+        assert sw.select_port(unrouted) is None
+    assert sw.dropped_no_route == 5
+    assert sim.metrics.counter("route.drops.no_route").value == 5
+
+    sw.set_port_belief(sw.ports[0], False)
+    routed = Packet.udp(1, ip_aton("10.1.2.3"), 5, 6)
+    for _ in range(4):
+        assert sw.select_port(routed) is None
+    assert sw.dropped_no_next_hop == 4
+    assert sim.metrics.counter("route.drops.no_next_hop").value == 4
+    assert sw._route_memo == {}
+    # Once the next hop is believed up again, the same flow routes.
+    sw.set_port_belief(sw.ports[0], True)
+    assert sw.select_port(routed) is sw.ports[0]
+
+
+def test_route_memo_capacity_flush_keeps_it_bounded(monkeypatch):
+    monkeypatch.setattr(constants, "MEMO_CAP", 4)
+    sim = Simulator()
+    sw = _ecmp_switch(sim, 3)
+    pkts = _flows(30)
+    for pkt in pkts:
+        sw.select_port(pkt)
+        assert 1 <= len(sw._route_memo) <= 4
+    _assert_memo_matches_fresh_walk(sw, pkts)
